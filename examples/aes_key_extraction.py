@@ -16,7 +16,8 @@ Run:  python examples/aes_key_extraction.py [--workers N]
 
 ``--workers`` (or the ``REPRO_WORKERS`` environment variable) fans the
 16 key-byte recoveries over the trial harness; the result is
-bit-identical at any worker count.
+bit-identical at any worker count.  The script exits non-zero if the
+recovered key does not match.
 """
 
 import argparse
@@ -64,6 +65,8 @@ def main() -> None:
     print(f"recovered key: {recovered.hex()}")
     print(f"actual key   : {secret_key.hex()}")
     print(f"MATCH: {recovered == secret_key}  ({elapsed:.1f}s)")
+    if recovered != secret_key:
+        raise SystemExit("recovered key does not match the secret key")
 
 
 if __name__ == "__main__":

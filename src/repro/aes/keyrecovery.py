@@ -18,6 +18,11 @@ the S-box's differential behaviour then filters the guesses:
 * intersecting the surviving ``(g, u)`` pairs over several differences
   ``d`` leaves the unique ``g``.
 
+The filter never loops over ``u``: a precomputed table holds, for every
+S-box input difference ``t`` and output difference ``o``, the set of
+``u`` with ``SB(u) ^ SB(u ^ t) == o`` as a 256-bit mask, so a guess
+survives exactly when the AND of its masks over all ``d`` is non-zero.
+
 Recovering all 16 bytes of ``k0`` yields the master key directly (for
 AES-128, round key 0 *is* the key; the key schedule inversion in
 :mod:`repro.aes.keyschedule` generalises the final step).
@@ -25,7 +30,7 @@ AES-128, round key 0 *is* the key; the key schedule inversion in
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.aes.core import INV_SHIFT_ROWS_MAP, SBOX, _gf_mul
 from repro.utils.rng import DeterministicRng
@@ -42,6 +47,13 @@ MC_MATRIX = (
 #: Default plaintext-byte differences; any set of distinct non-zero bytes
 #: works, more differences give stronger filtering.
 DEFAULT_DELTAS = (0x01, 0x4A, 0x93, 0xE7)
+
+#: Every second-round S-box input ``u``, as a mask.
+_ALL_U = (1 << 256) - 1
+
+#: ``(solutions, mul)`` once :func:`_tables` has built them.
+_Tables = Tuple[List[List[int]], Dict[int, List[int]]]
+_TABLES: Optional[_Tables] = None
 
 
 def affected_output_bytes(plaintext_index: int) -> List[int]:
@@ -66,6 +78,63 @@ def _mc_coefficient(plaintext_index: int, output_row: int) -> int:
     return MC_MATRIX[output_row][row]
 
 
+def _tables() -> _Tables:
+    """The differential solution table and the MixColumns multiply tables.
+
+    ``solutions[t][o]`` is a 256-bit mask with bit ``u`` set for every
+    ``u`` where ``SBOX[u] ^ SBOX[u ^ t] == o``; ``mul[c][x]`` is ``c * x``
+    in GF(2^8) for the coefficients 1, 2 and 3.  Built on first use
+    (about 2 MB) and shared by every later call.
+    """
+    global _TABLES
+    if _TABLES is None:
+        bits = [1 << u for u in range(256)]
+        solutions = [[0] * 256 for _ in range(256)]
+        for t, row in enumerate(solutions):
+            for u in range(256):
+                row[SBOX[u] ^ SBOX[u ^ t]] |= bits[u]
+        mul = {c: [_gf_mul(x, c) for x in range(256)] for c in (1, 2, 3)}
+        _TABLES = (solutions, mul)
+    return _TABLES
+
+
+def key_byte_survivors(
+    base_byte: int,
+    index: int,
+    observed: Mapping[int, Sequence[int]],
+) -> List[int]:
+    """Every guess of ``k0[index]`` consistent with ``observed``.
+
+    ``observed`` maps each plaintext difference ``delta`` (applied to
+    ``base_byte``, the plaintext byte at ``index``) to the four output
+    differences it caused, in :func:`affected_output_bytes` order.  A
+    guess survives when, for some output row, one second-round S-box
+    input ``u`` explains every difference at once: the AND of the
+    rows' solution masks over all deltas is non-zero.
+    """
+    solutions, mul = _tables()
+    rows = [(mul[_mc_coefficient(index, output_row)],
+             [diffs[output_row] for diffs in observed.values()])
+            for output_row in range(4)]
+    deltas = list(observed)
+    survivors = []
+    for guess in range(256):
+        entering = SBOX[base_byte ^ guess]
+        inner = [entering ^ SBOX[base_byte ^ delta ^ guess]
+                 for delta in deltas]
+        for row_mul, row_observed in rows:
+            candidates = _ALL_U
+            for difference, observed_difference in zip(inner, row_observed):
+                candidates &= solutions[row_mul[difference]][
+                    observed_difference]
+                if not candidates:
+                    break
+            if candidates:
+                survivors.append(guess)
+                break
+    return survivors
+
+
 def recover_key_byte(
     oracle: Callable[[bytes], bytes],
     base_plaintext: bytes,
@@ -75,55 +144,37 @@ def recover_key_byte(
 ) -> int:
     """Recover ``k0[index]`` via the differential filter.
 
-    ``oracle`` maps a plaintext block to its two-round ciphertext.
+    ``oracle`` maps a plaintext block to its two-round ciphertext.  It is
+    queried once per delta, in order; an ambiguous result adds the next
+    four unused differences and queries only those.
     """
     if base_rrc is None:
         base_rrc = oracle(base_plaintext)
-    base_byte = base_plaintext[index]
+    outputs = affected_output_bytes(index)
 
-    # Observed output differences per (delta, output_row).
-    observed = {}
-    for delta in deltas:
-        flipped = bytearray(base_plaintext)
-        flipped[index] ^= delta
-        rrc = oracle(bytes(flipped))
-        for output_row in range(4):
-            b = affected_output_bytes(index)[output_row]
-            observed[(delta, output_row)] = base_rrc[b] ^ rrc[b]
+    # Observed output differences per delta, one per output row.
+    observed: Dict[int, Tuple[int, ...]] = {}
+    pending = list(deltas)
+    while True:
+        for delta in pending:
+            flipped = bytearray(base_plaintext)
+            flipped[index] ^= delta
+            rrc = oracle(bytes(flipped))
+            observed[delta] = tuple(base_rrc[b] ^ rrc[b] for b in outputs)
 
-    survivors = []
-    for guess in range(256):
-        # The inner differences this guess predicts, per delta.
-        inner = {
-            delta: SBOX[base_byte ^ guess] ^ SBOX[base_byte ^ delta ^ guess]
-            for delta in deltas
-        }
-        consistent = False
-        for output_row in range(4):
-            coefficient = _mc_coefficient(index, output_row)
-            for u in range(256):
-                if all(
-                    (SBOX[u] ^ SBOX[u ^ _gf_mul(inner[delta], coefficient)])
-                    == observed[(delta, output_row)]
-                    for delta in deltas
-                ):
-                    consistent = True
-                    break
-            if consistent:
-                break
-        if consistent:
-            survivors.append(guess)
-
-    if len(survivors) == 1:
-        return survivors[0]
-    if not survivors:
-        raise RuntimeError(f"no key-byte candidate survived at index {index}")
-    # Refine ambiguous survivors with extra differences.
-    extra = [d for d in range(1, 256)
-             if d not in deltas][:4]
-    return recover_key_byte(oracle, base_plaintext, index,
-                            base_rrc=base_rrc,
-                            deltas=tuple(deltas) + tuple(extra))
+        survivors = key_byte_survivors(base_plaintext[index], index, observed)
+        if len(survivors) == 1:
+            return survivors[0]
+        if not survivors:
+            raise RuntimeError(
+                f"no key-byte candidate survived at index {index}")
+        # Refine ambiguous survivors with extra differences.
+        pending = [d for d in range(1, 256) if d not in observed][:4]
+        if not pending:
+            raise RuntimeError(
+                f"key byte at index {index} is still ambiguous "
+                f"({len(survivors)} candidates) with every plaintext "
+                f"difference observed")
 
 
 def recover_key_from_two_round_oracle(

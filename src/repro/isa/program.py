@@ -49,6 +49,10 @@ class Program:
         #: invalidation; keys are ``("committed", trace_mode)`` and
         #: ``"transient"``.
         self._predecoded: Dict[object, Dict[int, object]] = {}
+        #: Control-flow graphs by entry address, memoized by
+        #: :func:`repro.pathfinder.cfg.cached_cfg`.  Held here so they are
+        #: collected with the program.
+        self._cfgs: Dict[int, object] = {}
         self._validate()
 
     def _validate(self) -> None:

@@ -19,7 +19,6 @@ Two matching modes:
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -350,14 +349,6 @@ class PathSearch:
                              reaches_entry=reaches_entry)
 
 
-#: ControlFlowGraph -> {(mode, max_states, max_paths): PathSearch}.  A
-#: search object is stateless across runs apart from the ``explored``
-#: diagnostic, so attack drivers can share one per configuration instead
-#: of rebuilding it (with its CFG) for every trial.
-_SEARCH_CACHE: "weakref.WeakKeyDictionary[ControlFlowGraph, Dict[tuple, PathSearch]]" \
-    = weakref.WeakKeyDictionary()
-
-
 def cached_path_search(
     cfg: ControlFlowGraph,
     mode: str = "exact",
@@ -366,15 +357,15 @@ def cached_path_search(
 ) -> PathSearch:
     """The memoized :class:`PathSearch` for ``cfg`` and the given knobs.
 
-    Pair with :func:`repro.pathfinder.cfg.cached_cfg` so repeated trials
-    against one victim reuse both the graph and the search object.
+    A search object is stateless across runs apart from the ``explored``
+    diagnostic, so attack drivers share one per configuration.  Pair with
+    :func:`repro.pathfinder.cfg.cached_cfg` so repeated trials against one
+    victim reuse both the graph and the search object; the memo lives on
+    the graph and is collected with it.
     """
-    per_cfg = _SEARCH_CACHE.get(cfg)
-    if per_cfg is None:
-        per_cfg = _SEARCH_CACHE[cfg] = {}
     key = (mode, max_states, max_paths)
-    search = per_cfg.get(key)
+    search = cfg._searches.get(key)
     if search is None:
-        search = per_cfg[key] = PathSearch(
+        search = cfg._searches[key] = PathSearch(
             cfg, mode=mode, max_states=max_states, max_paths=max_paths)
     return search

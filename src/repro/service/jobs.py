@@ -134,6 +134,16 @@ class VictimProgramSpec:
         return [bool((self.seed >> index) & 1)
                 for index in range(self.conditional_count)]
 
+    def taken_branches(self) -> int:
+        """How many taken branches one run of the victim retires."""
+        if self.shape == "counted_loop":
+            return self.iterations - 1
+        if self.shape == "branchy":
+            # Each diamond takes exactly one branch: ``jeq`` or ``jmp``.
+            return self.conditional_count
+        raise ServiceError(f"unknown victim shape {self.shape!r}; "
+                           f"expected 'counted_loop' or 'branchy'")
+
     def digest(self) -> str:
         from repro.service.store import program_digest
         return program_digest(self.build())
@@ -142,6 +152,33 @@ class VictimProgramSpec:
 # ----------------------------------------------------------------------
 # job + outcomes
 # ----------------------------------------------------------------------
+
+#: Families whose history is a register of direction bits, with no
+#: doublet PHR or tagged PHT tables for Read_PHR, Read_PHT or the
+#: extended read's probes to drive.  An extended read still works while
+#: the victim's history fits the register, since it then needs no probe.
+_NO_PHR_FAMILIES = frozenset({"gshare-tournament"})
+
+
+def _refuse_unsupported(kind: str, machine: MachineSpec,
+                        params: Dict[str, Any]) -> None:
+    """Raise :class:`ServiceError` for a job the family cannot serve."""
+    config = machine.effective_config()
+    family = config.predictor_model
+    if family not in _NO_PHR_FAMILIES:
+        return
+    if kind in ("read_phr", "read_pht"):
+        raise ServiceError(
+            f"predictor family {family!r} cannot serve {kind!r} jobs")
+    victim = params.get("victim")
+    if (kind == "extended_read" and isinstance(victim, VictimProgramSpec)
+            and victim.taken_branches() > config.phr_capacity):
+        raise ServiceError(
+            f"predictor family {family!r} cannot serve {kind!r} jobs "
+            f"longer than its register: the victim takes "
+            f"{victim.taken_branches()} branches, capacity "
+            f"{config.phr_capacity}")
+
 
 @dataclass
 class Job:
@@ -170,6 +207,7 @@ class Job:
                 f"retry budget must be >= 1, got {self.retry_budget}")
         if self.timeout is not None and self.timeout <= 0:
             raise ServiceError(f"timeout must be positive, got {self.timeout}")
+        _refuse_unsupported(self.kind, self.machine, self.params)
 
 
 @dataclass

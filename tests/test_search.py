@@ -1,11 +1,19 @@
 """Tests for the Pathfinder backward path search."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cpu import Machine, RAPTOR_LAKE
 from repro.cpu.phr import replay_taken_branches
 from repro.isa import ProgramBuilder
-from repro.pathfinder import ControlFlowGraph, PathSearch
+from repro.pathfinder import (
+    ControlFlowGraph,
+    PathSearch,
+    cached_cfg,
+    cached_path_search,
+)
 from repro.primitives import VictimHandle
 
 from conftest import build_branchy_victim, build_counted_loop
@@ -251,3 +259,28 @@ class TestAmbiguity:
         assert replay_taken_branches(len(doublets),
                                      ghost.taken_branches).doublets() == \
                doublets
+
+
+class TestMemo:
+    def test_memo_returns_shared_instances(self):
+        program = build_counted_loop(5)
+        cfg = cached_cfg(program)
+        assert cached_cfg(program, entry=program.entry) is cfg
+        search = cached_path_search(cfg, max_paths=4)
+        assert cached_path_search(cfg, max_paths=4) is search
+        assert cached_path_search(cfg, max_paths=8) is not search
+        assert cached_cfg(build_counted_loop(5)) is not cfg
+
+    def test_memo_is_collected_with_its_program(self):
+        """The memoized graph and search reference the program; holding
+        them on the program lets the whole cycle be collected."""
+        program = build_counted_loop(5)
+        taken, doublets = history_of(program)
+        search = cached_path_search(cached_cfg(program))
+        assert len(search.search(doublets)) == 1
+        program_ref = weakref.ref(program)
+        cfg_ref = weakref.ref(search.cfg)
+        del program, search
+        gc.collect()
+        assert program_ref() is None
+        assert cfg_ref() is None

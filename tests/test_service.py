@@ -16,7 +16,7 @@ import numpy
 import pytest
 
 from repro.cpu import Machine, RAPTOR_LAKE, SKYLAKE
-from repro.cpu.config import MachineConfig
+from repro.cpu.config import MachineConfig, TOURNAMENT_BASELINE
 from repro.service import (
     AttackService,
     HANDLERS,
@@ -30,6 +30,7 @@ from repro.service import (
     VictimProgramSpec,
     job_kinds,
 )
+from repro.service.jobs import _victim_handle
 
 #: A victim heavy enough (~0.5s) to keep a worker visibly busy.
 SLOW_VICTIM = VictimProgramSpec(shape="counted_loop", iterations=50_000)
@@ -110,6 +111,55 @@ class TestJobValidation:
     def test_timeout_validated(self):
         with pytest.raises(ServiceError, match="timeout"):
             Job(kind="read_phr", timeout=0.0)
+
+
+    @pytest.mark.parametrize("victim", [FAST_VICTIM, BRANCHY])
+    def test_taken_branches_matches_a_run(self, victim):
+        recorded = _victim_handle(Machine(SKYLAKE), victim).profile()
+        assert victim.taken_branches() == sum(b.taken for b in recorded)
+
+
+class TestFamilySupport:
+    """gshare-tournament has no doublet PHR or tagged PHT tables: jobs
+    that need them are refused at submit, naming family and kind."""
+
+    GSHARE = MachineSpec(TOURNAMENT_BASELINE)
+
+    def refused(self, service, kind, machine=GSHARE, **params):
+        with pytest.raises(ServiceError) as caught:
+            ServiceClient(service).submit(kind, machine=machine, **params)
+        assert "'gshare-tournament'" in str(caught.value)
+        assert repr(kind) in str(caught.value)
+        assert service.jobs_submitted == 0
+        return str(caught.value)
+
+    def test_read_phr_refused(self, service):
+        self.refused(service, "read_phr", victim=FAST_VICTIM, count=4)
+
+    def test_read_pht_refused(self, service):
+        pc = FAST_VICTIM.build().labels["loop_branch"]
+        self.refused(service, "read_pht", victim=FAST_VICTIM,
+                     coordinates=[(pc, 0)])
+
+    def test_extended_read_beyond_register_refused(self, service):
+        long_victim = VictimProgramSpec(
+            shape="branchy", conditional_count=TOURNAMENT_BASELINE
+            .phr_capacity + 2)
+        message = self.refused(service, "extended_read", victim=long_victim)
+        assert "longer than its register" in message
+
+    def test_family_override_refused(self, service):
+        self.refused(service, "read_phr",
+                     machine=MachineSpec(SKYLAKE,
+                                         predictor_model="gshare-tournament"),
+                     victim=FAST_VICTIM)
+
+    def test_extended_read_within_register_served(self, client):
+        handle = client.submit("extended_read", machine=self.GSHARE,
+                               victim=BRANCHY)
+        value = client.gather([handle], on_error="raise")[0].value
+        assert value["complete"] is True
+        assert value["probes"] == 0
 
 
 # ----------------------------------------------------------------------
